@@ -31,12 +31,20 @@ from .types import RunResult
 __all__ = ["Session", "problem", "run_problem"]
 
 
-def _wire_training(prob, config, sampler, batch_size, seed, validators):
-    """Assemble the trainer for one run (shared by fresh runs and resumes).
+def _wire_training(prob, config, sampler, batch_size, seed, validators,
+                   shard_context=None):
+    """Assemble the trainer for one run (shared by fresh runs, resumes,
+    and every data-parallel rank).
 
     Everything is derived deterministically from ``(prob, config, seed)``:
     identical inputs wire identical networks, optimizers, samplers, and
-    validators, which is what makes checkpoint-resume bit-identical.
+    validators, which is what makes checkpoint-resume bit-identical and
+    keeps data-parallel replicas in lockstep.
+
+    ``shard_context``, when given, is called with the wired validators
+    (after the batch sizes are set) and returns the rank's
+    :class:`~repro.dp.DataParallelContext`; its shard samplers replace the
+    interior ``sampler``, and the returned sampler object is ``None``.
     """
     for constraint in prob.constraints:
         if constraint.name == "interior":
@@ -61,13 +69,18 @@ def _wire_training(prob, config, sampler, batch_size, seed, validators):
     scheduler = ExponentialDecayLR(optimizer,
                                    decay_rate=config.lr_decay_rate,
                                    decay_steps=config.lr_decay_steps)
-    sampler_obj = make_sampler(sampler, config, prob.interior_cloud, seed)
     if validators is None:
         validators = prob.make_validators(np.random.default_rng(config.seed))
+    sampler_obj = dp = None
+    if shard_context is None:
+        sampler_obj = make_sampler(sampler, config, prob.interior_cloud, seed)
+    else:
+        dp = shard_context(validators)
     trainer = Trainer(net, prob.constraints, optimizer, scheduler=scheduler,
-                      samplers={"interior": sampler_obj},
+                      samplers=(None if sampler_obj is None
+                                else {"interior": sampler_obj}),
                       validators=validators,
-                      extra_modules=prob.extra_modules, seed=seed)
+                      extra_modules=prob.extra_modules, seed=seed, dp=dp)
     return trainer, sampler_obj
 
 
@@ -367,28 +380,24 @@ class Session:
             run_id=run_id, checkpoint_every=checkpoint_every,
             compile=self._compile, trace=self._trace)
 
-    def suite(self, samplers=None, *, backend=None, executor=None,
-              max_workers=None, workers_external=False, steps=None,
-              verbose=False, store=None, checkpoint_every=None):
+    def suite(self, samplers=None, *, backend="serial", max_workers=None,
+              workers_external=False, steps=None, verbose=False, store=None,
+              checkpoint_every=None):
         """Train a method sweep on this problem; returns a ``SuiteResult``.
 
         ``samplers`` follows :func:`repro.experiments.resolve_methods`:
         ``None`` sweeps every registered sampler, or pass sampler names /
         ``MethodSpec`` objects.  ``backend="process"`` shards the sweep
         over a process pool, ``"queue"`` feeds a ``repro worker`` fleet
-        through the store (default ``"serial"``; ``executor=`` is the
-        deprecated alias); the session's ``seed``/``n_interior``/
-        ``batch_size``/``steps`` overrides apply to every method.  With
-        ``store`` each method (including each pool/queue worker) writes
-        its own durable run record::
+        through the store (default ``"serial"``); the session's
+        ``seed``/``n_interior``/``batch_size``/``steps`` overrides apply to
+        every method.  With ``store`` each method (including each
+        pool/queue worker) writes its own durable run record::
 
             repro.problem("ldc").suite(["uniform", "sgm"],
                                        backend="process", store="runs")
         """
-        from ..experiments.suite import (_backend_choice, resolve_methods,
-                                         run_suite)
-        backend = _backend_choice(backend, executor, "serial",
-                                  "Session.suite")
+        from ..experiments.suite import resolve_methods, run_suite
         methods = resolve_methods(self._config, samplers,
                                   n_interior=self._n_interior,
                                   batch_size=self._batch_size)
@@ -401,9 +410,9 @@ class Session:
                          checkpoint_every=checkpoint_every,
                          compile=self._compile, trace=self._trace)
 
-    def matrix(self, problems=None, samplers=None, *, backend=None,
-               executor=None, max_workers=None, workers_external=False,
-               steps=None, verbose=False, store=None, checkpoint_every=None):
+    def matrix(self, problems=None, samplers=None, *, backend="serial",
+               max_workers=None, workers_external=False, steps=None,
+               verbose=False, store=None, checkpoint_every=None):
         """Train a cross-problem benchmark matrix; returns a
         ``MatrixResult``.
 
@@ -414,16 +423,13 @@ class Session:
         their registered config factory at the session's scale.
         ``problems=None`` sweeps every registered problem; with
         ``backend="process"`` all cells shard over one shared pool
-        (default ``"serial"``; ``executor=`` is the deprecated alias)::
+        (default ``"serial"``)::
 
             repro.problem("ldc", scale="smoke").matrix(
                 samplers=["uniform", "sgm"], backend="process",
                 store="runs")
         """
         from ..experiments.matrix import run_matrix
-        from ..experiments.suite import _backend_choice
-        backend = _backend_choice(backend, executor, "serial",
-                                  "Session.matrix")
         return run_matrix(problems, samplers, backend=backend,
                           max_workers=max_workers,
                           workers_external=workers_external, seed=self._seed,

@@ -22,15 +22,15 @@ from .partition import (assign_clusters, check_disjoint_cover,
                         shard_batch_sizes, stride_shards)
 from .reduce import payload_nbytes, tree_add, tree_reduce
 from .samplers import (SUPPORTED_KINDS, ClusterPlan, ShardSampler,
-                       ShardSGMSampler, make_shard_sampler, shard_cover)
+                       make_shard_sampler, shard_cover)
 
 __all__ = [
     "DEFAULT_SHARDS", "DataParallelContext", "LocalExchange",
-    "StoreExchange", "ClusterPlan", "ShardSampler", "ShardSGMSampler",
-    "SUPPORTED_KINDS", "assign_clusters", "check_disjoint_cover",
-    "decode_payload", "encode_payload", "make_shard_sampler",
-    "payload_nbytes", "run_dp", "shard_batch_sizes", "shard_cover",
-    "stride_shards", "tree_add", "tree_reduce",
+    "StoreExchange", "ClusterPlan", "ShardSampler", "SUPPORTED_KINDS",
+    "assign_clusters", "check_disjoint_cover", "decode_payload",
+    "encode_payload", "make_shard_sampler", "payload_nbytes", "run_dp",
+    "shard_batch_sizes", "shard_cover", "stride_shards", "tree_add",
+    "tree_reduce",
 ]
 
 _RUNNER_EXPORTS = ("DEFAULT_SHARDS", "DataParallelContext", "run_dp")

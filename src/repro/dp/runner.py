@@ -38,10 +38,10 @@ import numpy as np
 from .. import obs
 from ..api.problems import build_problem
 from ..api.registry import problem_registry
+from ..api.session import _wire_training
 from ..api.types import RunResult
 from ..exec import resolve_backend
-from ..nn import Adam, ExponentialDecayLR, FullyConnected
-from ..training import Trainer
+from ..nn import FullyConnected
 from .exchange import LocalExchange, StoreExchange
 from .partition import shard_batch_sizes
 from .samplers import SUPPORTED_KINDS, ClusterPlan, make_shard_sampler
@@ -114,69 +114,49 @@ def _wire_dp_rank(prob, config, sampler, batch_size, seed, validators_mode,
                   *, n_shards, world_size, rank, exchange):
     """Assemble one rank's lockstep trainer replica.
 
-    Mirrors :func:`repro.api.session._wire_training` exactly for the
-    network / optimizer / scheduler / validators — every rank derives the
-    identical replica from ``(prob, config, seed)`` — then adds the
-    shard-local samplers and partitions for the shards this rank hosts.
+    The network / optimizer / scheduler / validators come from
+    :func:`repro.api.session._wire_training`, so every rank derives the
+    identical replica from ``(prob, config, seed)``; this adds the shard
+    samplers and partitions for the shards the rank hosts.
     """
-    for constraint in prob.constraints:
-        if constraint.name == "interior":
-            constraint.batch_size = batch_size
-        else:
-            constraint.batch_size = max(16, batch_size // 4)
-    dtype = np.dtype(config.network.dtype)
-    for constraint in prob.constraints:
-        constraint.set_dtype(dtype)
+    def shard_context(validators):
+        owned = [s for s in range(n_shards) if s % world_size == rank]
+        plan = None
+        if sampler in ("sgm", "sgm_s"):
+            plan = ClusterPlan(prob.interior_cloud.features(), n_shards,
+                               k=config.knn_k, level=config.lrd_level,
+                               seed=seed)
+        shard_samplers = {}
+        shard_batch = {}
+        for ci, constraint in enumerate(prob.constraints):
+            shard_batch[constraint.name] = shard_batch_sizes(
+                constraint.batch_size, n_shards)
+            kind = sampler if constraint.name == "interior" else "uniform"
+            for shard in owned:
+                # the cell seed is a pure function of (run seed, constraint,
+                # shard) — never of the rank layout — so shard s's RNG
+                # stream is identical wherever it runs
+                seed_seq = np.random.SeedSequence([int(seed), ci, shard])
+                shard_samplers[(constraint.name, shard)] = make_shard_sampler(
+                    kind, config, constraint, n_shards=n_shards, shard=shard,
+                    seed_seq=seed_seq,
+                    plan=plan if constraint.name == "interior" else None)
 
-    net = FullyConnected(prob.in_features, prob.out_features,
-                         width=config.network.width,
-                         depth=config.network.depth,
-                         activation=config.network.activation,
-                         rng=np.random.default_rng(config.seed),
-                         dtype=dtype)
-    optimizer = Adam(net.parameters() + prob.extra_parameters, lr=config.lr)
-    scheduler = ExponentialDecayLR(optimizer,
-                                   decay_rate=config.lr_decay_rate,
-                                   decay_steps=config.lr_decay_steps)
-    validators = ([] if validators_mode == "none"
-                  else prob.make_validators(np.random.default_rng(
-                      config.seed)))
+        validator_rows = {}
+        for vi, validator in enumerate(validators):
+            if hasattr(validator, "evaluate_partial"):
+                rows = np.arange(len(validator.features))
+                validator_rows[vi] = [rows[s::n_shards]
+                                      for s in range(n_shards)]
+        return DataParallelContext(
+            n_shards=n_shards, world_size=world_size, rank=rank,
+            shard_samplers=shard_samplers, shard_batch=shard_batch,
+            exchange=exchange, validator_rows=validator_rows)
 
-    owned = [s for s in range(n_shards) if s % world_size == rank]
-    plan = None
-    if sampler == "sgm":
-        plan = ClusterPlan(prob.interior_cloud.features(), n_shards,
-                           k=config.knn_k, level=config.lrd_level,
-                           seed=seed)
-    shard_samplers = {}
-    shard_batch = {}
-    for ci, constraint in enumerate(prob.constraints):
-        shard_batch[constraint.name] = shard_batch_sizes(
-            constraint.batch_size, n_shards)
-        kind = sampler if constraint.name == "interior" else "uniform"
-        for shard in owned:
-            # the cell seed is a pure function of (run seed, constraint,
-            # shard) — never of the rank layout — so shard s's RNG stream
-            # is identical wherever it runs
-            seed_seq = np.random.SeedSequence([int(seed), ci, shard])
-            shard_samplers[(constraint.name, shard)] = make_shard_sampler(
-                kind, config, constraint, n_shards=n_shards, shard=shard,
-                seed_seq=seed_seq,
-                plan=plan if constraint.name == "interior" else None)
-
-    validator_rows = {}
-    for vi, validator in enumerate(validators):
-        if hasattr(validator, "evaluate_partial"):
-            rows = np.arange(len(validator.features))
-            validator_rows[vi] = [rows[s::n_shards] for s in range(n_shards)]
-
-    dp = DataParallelContext(
-        n_shards=n_shards, world_size=world_size, rank=rank,
-        shard_samplers=shard_samplers, shard_batch=shard_batch,
-        exchange=exchange, validator_rows=validator_rows)
-    trainer = Trainer(net, prob.constraints, optimizer, scheduler=scheduler,
-                      validators=validators,
-                      extra_modules=prob.extra_modules, seed=seed, dp=dp)
+    trainer, _ = _wire_training(
+        prob, config, sampler, batch_size, seed,
+        [] if validators_mode == "none" else None,
+        shard_context=shard_context)
     return trainer
 
 

@@ -8,10 +8,11 @@ its own RNG stream, importance weights, epochs, and cursors — seeded by
 matter which worker hosts it.
 
 Uniform and MIS shards wrap the serial samplers over the shard's stride
-subset (:class:`ShardSampler`); SGM shards own whole clusters handed out
-by a rank-independent :class:`ClusterPlan`, and refresh their scores from
-shard-local statistics (the local min–max keeps every shard's epoch
-well-spread even when its clusters' losses cover a narrow range).
+subset (:class:`ShardSampler`).  SGM shards are the serial
+:class:`~repro.sampling.SGMSampler` following their slice of whole
+clusters of a rank-independent :class:`ClusterPlan`; their scores are
+min–max normalised over the shard's own clusters, and ``sgm_s`` adds the
+ISR term exactly as it does serially.
 """
 
 from __future__ import annotations
@@ -21,13 +22,10 @@ import numpy as np
 from .. import obs
 from ..graph import knn_adjacency, lrd_decompose
 from ..sampling import MISSampler, UniformSampler
-from ..sampling.base import Sampler, _scalar
-from ..sampling.sgm import _minmax
 from .partition import assign_clusters, stride_shards
 
 __all__ = [
-    "ClusterPlan", "ShardSGMSampler", "ShardSampler", "make_shard_sampler",
-    "shard_cover",
+    "ClusterPlan", "ShardSampler", "make_shard_sampler", "shard_cover",
 ]
 
 
@@ -185,171 +183,8 @@ class ShardSampler:
              if key.startswith("inner.")})
 
 
-class ShardSGMSampler(Sampler):
-    """SGM importance sampling restricted to one shard's whole clusters.
-
-    Probing, scoring, and epoch assembly follow
-    :class:`~repro.sampling.SGMSampler` exactly, but over the clusters the
-    :class:`ClusterPlan` assigned to this shard, with the min–max score
-    normalisation computed shard-locally.  Rebuild cadence (``tau_G``)
-    re-derives the *global* plan — identical on every rank — and re-adopts
-    this shard's slice of it.
-    """
-
-    name = "sgm"
-
-    def __init__(self, plan, shard, *, tau_e=7000, tau_G=25000,
-                 probe_ratio=0.15, ratio_range=(0.05, 0.9), seed=0):
-        super().__init__(len(plan.features), seed=seed)
-        self.plan = plan
-        self.shard = int(shard)
-        self.tau_e = int(tau_e)
-        self.tau_g = int(tau_G)
-        self.probe_ratio = float(probe_ratio)
-        if not 0.0 < self.probe_ratio <= 1.0:
-            raise ValueError("probe_ratio must lie in (0, 1]")
-        self.ratio_min, self.ratio_max = map(float, ratio_range)
-        if not 0.0 < self.ratio_min <= self.ratio_max <= 1.0:
-            raise ValueError("need 0 < p_min <= p_max <= 1")
-
-        self.clusters = []
-        self.cluster_scores = None
-        self.sampling_ratios = None
-        self._epoch = None
-        self._cursor = 0
-        self.refresh_count = 0
-        self.rebuild_count = 0
-
-    # ------------------------------------------------------------------
-    def _adopt_clusters(self, rebuild_index):
-        members, seconds = self.plan.shard_members(rebuild_index, self.shard)
-        if not members:
-            raise ValueError(
-                f"shard {self.shard} received no clusters from the plan "
-                f"({self.plan.n_clusters(rebuild_index)} clusters over "
-                f"{self.plan.n_shards} shards); lower dp_shards or the LRD "
-                f"level")
-        self.clusters = members
-        self.rebuild_seconds += seconds
-        self.rebuild_count = int(rebuild_index) + 1
-
-    def start(self):
-        if not self.clusters:
-            self._adopt_clusters(0)
-
-    # ------------------------------------------------------------------
-    def refresh_scores(self):
-        """Probe this shard's cluster losses and assemble a local epoch."""
-        if self.probe_loss is None:
-            raise RuntimeError("SGM shard sampler needs probe callbacks "
-                               "bound before training starts")
-        with obs.timed_span("sampler.refresh") as refresh_timer:
-            subsets = []
-            for members in self.clusters:
-                count = max(1, int(np.ceil(self.probe_ratio * len(members))))
-                if count >= len(members):
-                    subsets.append(members)
-                else:
-                    subsets.append(self.rng.choice(members, size=count,
-                                                   replace=False))
-            flat = np.concatenate(subsets)
-            losses = np.asarray(self.probe_loss(flat),
-                                dtype=np.float64).ravel()
-            self.probe_points += len(flat)
-
-            sizes = np.array([len(s) for s in subsets])
-            offsets = np.concatenate([[0], np.cumsum(sizes)])
-            cluster_loss = np.array([
-                losses[offsets[i]:offsets[i + 1]].mean()
-                for i in range(len(subsets))])
-            score = _minmax(cluster_loss)
-            self.cluster_scores = score
-            self.sampling_ratios = (self.ratio_min +
-                                    (self.ratio_max - self.ratio_min) *
-                                    _minmax(score))
-            self._build_epoch()
-        self.refresh_count += 1
-        obs.inc("sampler.refresh_count")
-        obs.inc("sampler.refresh_seconds", refresh_timer.seconds)
-
-    def _build_epoch(self):
-        parts = []
-        for ratio, members in zip(self.sampling_ratios, self.clusters):
-            count = max(1, int(round(ratio * len(members))))
-            if count >= len(members):
-                parts.append(members)
-            else:
-                parts.append(self.rng.choice(members, size=count,
-                                             replace=False))
-        epoch = np.concatenate(parts)
-        self.rng.shuffle(epoch)
-        self._epoch = epoch
-        self._cursor = 0
-
-    # ------------------------------------------------------------------
-    def batch_indices(self, step, batch_size):
-        if not self.clusters:
-            self.start()
-        if step > 0 and self.tau_g > 0 and step % self.tau_g == 0:
-            self._adopt_clusters(self.rebuild_count)
-            self.refresh_scores()
-        elif self._epoch is None or (step > 0 and step % self.tau_e == 0):
-            self.refresh_scores()
-
-        batch = np.empty(batch_size, dtype=int)
-        filled = 0
-        while filled < batch_size:
-            take = min(batch_size - filled, len(self._epoch) - self._cursor)
-            batch[filled:filled + take] = \
-                self._epoch[self._cursor:self._cursor + take]
-            filled += take
-            self._cursor += take
-            if self._cursor >= len(self._epoch):
-                self.rng.shuffle(self._epoch)
-                self._cursor = 0
-        return batch
-
-    def owned_points(self):
-        """All global indices this shard owns (its clusters, concatenated)."""
-        if not self.clusters:
-            self.start()
-        return np.concatenate(self.clusters)
-
-    # ------------------------------------------------------------------
-    def state_dict(self):
-        state = super().state_dict()
-        state["refresh_count"] = self.refresh_count
-        state["rebuild_count"] = self.rebuild_count
-        if self.cluster_scores is not None:
-            state["cluster_scores"] = np.asarray(self.cluster_scores).copy()
-            state["sampling_ratios"] = np.asarray(self.sampling_ratios).copy()
-        if self._epoch is not None:
-            state["epoch"] = np.asarray(self._epoch).copy()
-            state["cursor"] = self._cursor
-        return state
-
-    def load_state_dict(self, state):
-        super().load_state_dict(state)
-        self.refresh_count = int(_scalar(state["refresh_count"]))
-        rebuild_count = int(_scalar(state["rebuild_count"]))
-        if rebuild_count > 0:
-            # clusters are derived state: re-adopt the plan's deterministic
-            # decomposition for the last rebuild instead of persisting them
-            seconds_before = self.rebuild_seconds
-            self._adopt_clusters(rebuild_count - 1)
-            self.rebuild_seconds = seconds_before
-        if "cluster_scores" in state:
-            self.cluster_scores = np.asarray(state["cluster_scores"],
-                                             dtype=np.float64).copy()
-            self.sampling_ratios = np.asarray(state["sampling_ratios"],
-                                              dtype=np.float64).copy()
-        if "epoch" in state:
-            self._epoch = np.asarray(state["epoch"], dtype=int).copy()
-            self._cursor = int(_scalar(state["cursor"]))
-
-
 #: sampler-registry kinds the data-parallel mode supports
-SUPPORTED_KINDS = ("uniform", "mis", "sgm")
+SUPPORTED_KINDS = ("uniform", "mis", "sgm", "sgm_s")
 
 
 def make_shard_sampler(kind, config, constraint, *, n_shards, shard,
@@ -358,18 +193,21 @@ def make_shard_sampler(kind, config, constraint, *, n_shards, shard,
 
     ``seed_seq`` is the cell's :class:`~numpy.random.SeedSequence` — a pure
     function of ``(run seed, constraint index, shard)``, never of the
-    worker layout.  ``plan`` is required for ``kind="sgm"``.
+    worker layout.  ``plan`` is required for the SGM kinds, which build the
+    registered serial sampler and point it at this shard's plan slice.
     """
     if kind not in SUPPORTED_KINDS:
         raise ValueError(
             f"data-parallel training supports sampler kinds "
             f"{SUPPORTED_KINDS}, got {kind!r}")
-    if kind == "sgm":
+    if kind in ("sgm", "sgm_s"):
         if plan is None:
             raise ValueError("sgm shard samplers need a ClusterPlan")
-        return ShardSGMSampler(
-            plan, shard, tau_e=config.tau_e, tau_G=config.tau_G,
-            probe_ratio=config.probe_ratio, seed=seed_seq)
+        # imported here: repro.api imports the trainer, which imports this
+        # package for the reduction primitives
+        from ..api.samplers import make_sampler
+        return make_sampler(kind, config, constraint.cloud,
+                            seed_seq).follow_plan(plan, shard)
     indices = stride_shards(constraint.n_points, n_shards)[shard]
     if kind == "mis":
         inner = MISSampler(len(indices), tau_e=config.tau_e,
@@ -383,12 +221,15 @@ def shard_cover(samplers, n_points):
     """The per-shard global index sets of a full shard-sampler row.
 
     For stride shards this is the wrapped partition; for SGM shards it is
-    the union of owned clusters.  Used by the disjoint-cover checks.
+    the union of the clusters in the shard's plan slice.  Used by the
+    disjoint-cover checks.
     """
     cover = []
     for sampler in samplers:
-        if isinstance(sampler, ShardSGMSampler):
-            cover.append(np.sort(sampler.owned_points()))
-        else:
+        if isinstance(sampler, ShardSampler):
             cover.append(np.asarray(sampler.indices))
+        else:
+            if not sampler.clusters:
+                sampler.start()
+            cover.append(np.sort(np.concatenate(sampler.clusters)))
     return cover

@@ -17,6 +17,11 @@ Pipeline per the paper:
 Overhead accounting matches §3.6: each refresh probes ``r * N`` points, and
 each rebuild's wall time is recorded so the experiment runner can either
 charge it (synchronous) or hide it (the paper's background thread).
+
+Under data-parallel training (:mod:`repro.dp`) S1 + S2 run once per rebuild
+in a shared :class:`~repro.dp.ClusterPlan`; each shard's sampler follows its
+slice of the plan (:meth:`SGMSampler.follow_plan`) and runs S3 + S4 over it
+unchanged.
 """
 
 from __future__ import annotations
@@ -111,6 +116,9 @@ class SGMSampler(Sampler):
         self.append_output_features = bool(append_output_features)
         self.output_feature_weight = float(output_feature_weight)
 
+        #: data-parallel cluster source (see :meth:`follow_plan`)
+        self.plan = None
+        self.shard = None
         self.labels = None
         self.clusters = []
         self.cluster_scores = None
@@ -119,6 +127,22 @@ class SGMSampler(Sampler):
         self._cursor = 0
         self.refresh_count = 0
         self.rebuild_count = 0
+
+    def follow_plan(self, plan, shard):
+        """Take clusters from shard ``shard``'s slice of a
+        :class:`~repro.dp.ClusterPlan` instead of building them.
+
+        Every (re)build then adopts the plan's decomposition for the same
+        rebuild index, which draws nothing from :attr:`rng`; probing,
+        scoring, and epochs run over the slice as usual.  Returns ``self``.
+        """
+        if len(plan.features) != self.n_points:
+            raise ValueError(f"the plan covers {len(plan.features)} points "
+                             f"but the sampler holds {self.n_points}")
+        self.plan = plan
+        self.shard = int(shard)
+        self.features = plan.features
+        return self
 
     # ------------------------------------------------------------------
     # S1 + S2: graph construction and LRD clustering
@@ -142,14 +166,33 @@ class SGMSampler(Sampler):
              self.output_feature_weight * self._standardise(outputs)],
             axis=1)
 
+    def _plan_slice(self, rebuild_index):
+        """This shard's clusters of plan rebuild ``rebuild_index`` and the
+        build's wall seconds (zero unless this call built it)."""
+        members, seconds = self.plan.shard_members(rebuild_index, self.shard)
+        if not members:
+            raise ValueError(
+                f"shard {self.shard} received no clusters from the plan "
+                f"({self.plan.n_clusters(rebuild_index)} clusters over "
+                f"{self.plan.n_shards} shards); lower dp_shards or the LRD "
+                f"level")
+        return members, seconds
+
     def build_clusters(self):
         """(Re)build the PGM and its LRD decomposition.
 
         The wall time is measured through :class:`repro.obs.timed_span` so
         it both feeds :attr:`rebuild_seconds` (TrainingClock's background
         credit — functional, always on) and shows up as a
-        ``sampler.rebuild`` span when tracing is enabled.
+        ``sampler.rebuild`` span when tracing is enabled.  A sampler that
+        follows a plan adopts its slice of the plan's next rebuild instead
+        (the plan times and counts the build once, for all shards).
         """
+        if self.plan is not None:
+            self.clusters, seconds = self._plan_slice(self.rebuild_count)
+            self.rebuild_seconds += seconds
+            self.rebuild_count += 1
+            return
         with obs.timed_span("sampler.rebuild") as rebuild_timer:
             graph_features = self._graph_features()
             if self.cells_per_dim > 1:
@@ -273,7 +316,7 @@ class SGMSampler(Sampler):
         self.build_clusters()
 
     def batch_indices(self, step, batch_size):
-        if self.labels is None:
+        if not self.clusters:
             self.start()
         if step > 0 and self.tau_g > 0 and step % self.tau_g == 0:
             self.build_clusters()
@@ -301,6 +344,8 @@ class SGMSampler(Sampler):
         Clusters are persisted as labels only (:meth:`_set_labels` rebuilds
         the member lists deterministically), so restoring mid-run skips the
         graph rebuild entirely — exactly what bit-identical resume needs.
+        A sampler following a plan persists no labels: its slice is
+        re-derived from the plan's deterministic rebuild on load.
         """
         state = super().state_dict()
         state["refresh_count"] = self.refresh_count
@@ -321,6 +366,8 @@ class SGMSampler(Sampler):
         self.rebuild_count = int(_scalar(state["rebuild_count"]))
         if "labels" in state:
             self._set_labels(np.asarray(state["labels"], dtype=int).copy())
+        elif self.plan is not None and self.rebuild_count > 0:
+            self.clusters, _ = self._plan_slice(self.rebuild_count - 1)
         if "cluster_scores" in state:
             self.cluster_scores = np.asarray(state["cluster_scores"],
                                              dtype=np.float64).copy()

@@ -77,13 +77,11 @@ class Trainer:
         modules; checkpoints persist each module's ``state_dict`` under its
         name so resumed inverse runs restore the coefficient exactly.
     dp:
-        A :class:`repro.dp.DataParallelContext` switching the trainer into
-        the lockstep shard-replica step: every owned shard's ``1/S``-scaled
-        loss/gradient is computed locally, all ``S`` contributions are
-        gathered through ``dp.exchange``, tree-reduced in ascending shard
-        order, and the identical reduced gradient drives the optimizer on
-        every rank.  Mutually exclusive with ``samplers`` (the shard
-        samplers live on the context).
+        A :class:`repro.dp.DataParallelContext`: each step then runs the
+        same loss/gradient path once per owned shard (loss scaled by
+        ``1/S``), and the optimizer steps on the tree-reduced sum of all
+        ``S`` shards.  Replaces ``samplers`` (the shard samplers live on
+        the context).
     """
 
     def __init__(self, net, constraints, optimizer, scheduler=None,
@@ -105,6 +103,9 @@ class Trainer:
         self.params = net.parameters() + extra
 
         self.dp = dp
+        #: compile-mode state per batch lane: ``None`` for the serial step,
+        #: the shard index for each shard a data-parallel rank owns
+        self.replays = {}
         if dp is not None:
             if samplers:
                 raise ValueError("pass shard samplers on the dp context, "
@@ -120,7 +121,6 @@ class Trainer:
             self._dp_probe_total = 0
             self._dp_rebuild_total = 0.0
             self._dp_rebuild_baseline = None
-            self._dp_replay = None
             return
 
         samplers = dict(samplers or {})
@@ -187,20 +187,26 @@ class Trainer:
     # probe refreshes, raw numpy — everything the replay engine re-runs
     # eagerly) and the pure graph-building phase (the recorded region).
     # ------------------------------------------------------------------
-    def _step_batches(self, step):
+    def _step_batches(self, step, shard=None):
         """Draw every constraint's batch and combined per-sample weights.
 
-        Importance refreshes (probe forward passes) fire inside
-        ``batch_indices``, so they stay *outside* the recorded/replayed
-        region; ``batch_weights`` is a pure lookup on every sampler.
-        Returns ``(batches, weights)`` dicts keyed by constraint name, the
-        weight being the final sample×importance product multiplied into
-        the loss (or ``None``).
+        ``shard`` selects a data-parallel shard's samplers and batch sizes
+        (``None``: the serial ones).  Importance refreshes (probe forward
+        passes) fire inside ``batch_indices``, so they stay *outside* the
+        recorded/replayed region; ``batch_weights`` is a pure lookup on
+        every sampler.  Returns ``(batches, weights)`` dicts keyed by
+        constraint name, the weight being the final sample×importance
+        product multiplied into the loss (or ``None``).
         """
         batches, weights = {}, {}
         for constraint in self.constraints:
-            sampler = self.samplers[constraint.name]
-            indices = sampler.batch_indices(step, constraint.batch_size)
+            if shard is None:
+                sampler = self.samplers[constraint.name]
+                size = constraint.batch_size
+            else:
+                sampler = self.dp.shard_samplers[(constraint.name, shard)]
+                size = self.dp.shard_batch[constraint.name][shard]
+            indices = sampler.batch_indices(step, size)
             batches[constraint.name] = indices
             weight = constraint.sample_weight_for(indices)
             importance = sampler.batch_weights(indices)
@@ -210,8 +216,9 @@ class Trainer:
             weights[constraint.name] = weight
         return batches, weights
 
-    def _assemble_loss(self, batches, weights):
-        """Build the aggregate loss graph for pre-drawn batches (eq. 4)."""
+    def _assemble_loss(self, batches, weights, scale=None):
+        """Build the aggregate loss graph for pre-drawn batches (eq. 4),
+        times ``scale`` when given (inside the graph)."""
         total = None
         for constraint in self.constraints:
             residuals, _ = constraint.residuals(self.net,
@@ -223,7 +230,7 @@ class Trainer:
                     squared = squared * weight
                 term = squared.mean() * constraint.weight
                 total = term if total is None else total + term
-        return total
+        return total if scale is None else total * scale
 
     def _step_loss(self, step):
         batches, weights = self._step_batches(step)
@@ -245,14 +252,20 @@ class Trainer:
     def _weight_list(self, weights):
         return [weights[c.name] for c in self.constraints]
 
-    def _run_step(self, step, replay):
-        """Execute one optimizer step eagerly, traced, or replayed."""
-        with obs.span("train.sample"):
-            batches, weights = self._step_batches(step)
+    def _loss_and_grads(self, batches, weights, replay=None,
+                        loss_scale=None):
+        """Loss (an array) and parameter gradients for pre-drawn batches.
+
+        Replays ``replay``'s compiled program once it has one, records the
+        step for compilation while it is still tracing, and builds the
+        graph eagerly when ``replay`` is ``None`` or fell back.
+        ``loss_scale`` multiplies the loss inside the graph, so compiled
+        tapes carry it.  Does not step the optimizer.
+        """
         if replay is not None and replay.program is not None:
             try:
                 with obs.span("train.replay"):
-                    loss_value, grads = replay.program.run(
+                    return replay.program.run(
                         self._replay_externals(batches),
                         self._weight_list(weights))
             except ReplayStale as exc:
@@ -263,60 +276,66 @@ class Trainer:
                 replay.disabled = True
                 replay.refusal = f"stale tape: {exc}"
                 obs.inc("replay.fallback_stale")
-            else:
-                with obs.span("train.optimizer"):
-                    self.optimizer.step(grads)
-                return float(np.asarray(loss_value).item())
         if replay is not None and not replay.disabled:
-            return self._traced_step(step, replay, batches, weights)
+            return self._traced_loss_and_grads(batches, weights, replay,
+                                               loss_scale)
+        loss, grads = self._eager_loss_and_grads(batches, weights,
+                                                 loss_scale)
+        return loss.numpy(), grads
+
+    def _eager_loss_and_grads(self, batches, weights, loss_scale):
         with obs.span("train.forward"):
-            loss = self._assemble_loss(batches, weights)
+            loss = self._assemble_loss(batches, weights, loss_scale)
         with obs.span("train.backward"):
             grads = gradients(loss, self.params)
-        with obs.span("train.optimizer"):
-            self.optimizer.step(grads)
-        return loss.item()
+        return loss, grads
 
-    def _traced_step(self, step, replay, batches, weights):
-        """One eager step recorded with provenance; compile after two."""
+    def _traced_loss_and_grads(self, batches, weights, replay, loss_scale):
+        """One eager evaluation recorded with provenance; compile after
+        :attr:`TRACE_STEPS` of them."""
         param_data = [p.data.copy() for p in self.params]
         with record_tape(provenance=True) as tape:
-            with obs.span("train.forward"):
-                loss = self._assemble_loss(batches, weights)
-            with obs.span("train.backward"):
-                grads = gradients(loss, self.params)
+            loss, grads = self._eager_loss_and_grads(batches, weights,
+                                                     loss_scale)
         mismatch = self._verify_replay_externals(tape, batches)
         if mismatch is not None:
             replay.disabled = True
             replay.refusal = mismatch
             replay.traces = []
-        else:
-            replay.traces.append(StepTrace(tape, loss, grads, param_data,
-                                           self._weight_list(weights)))
-            if len(replay.traces) == self.TRACE_STEPS:
-                try:
-                    with obs.timed_span("replay.compile") as compile_timer:
-                        replay.program = compile_step(replay.traces[0],
-                                                      replay.traces[1],
-                                                      self.params)
-                except ReplayRefused as exc:
-                    replay.disabled = True
-                    replay.refusal = str(exc)
-                    obs.inc("replay.fallback_refused")
-                else:
-                    obs.inc("replay.compile_count")
-                    obs.inc("replay.compile_seconds", compile_timer.seconds)
-                    if obs.enabled():
-                        stats = replay.program.stats
-                        obs.gauge("replay.instructions",
-                                  stats["instructions"])
-                        obs.gauge("replay.cse_hits", stats["cse_hits"])
-                        obs.gauge("replay.dead_pruned", stats["dead"])
-                        obs.gauge("replay.baked_constants", stats["baked"])
-                replay.traces = []
+            return loss.numpy(), grads
+        replay.traces.append(StepTrace(tape, loss, grads, param_data,
+                                       self._weight_list(weights)))
+        if len(replay.traces) == self.TRACE_STEPS:
+            try:
+                with obs.timed_span("replay.compile") as compile_timer:
+                    replay.program = compile_step(replay.traces[0],
+                                                  replay.traces[1],
+                                                  self.params)
+            except ReplayRefused as exc:
+                replay.disabled = True
+                replay.refusal = str(exc)
+                obs.inc("replay.fallback_refused")
+            else:
+                obs.inc("replay.compile_count")
+                obs.inc("replay.compile_seconds", compile_timer.seconds)
+                if obs.enabled():
+                    stats = replay.program.stats
+                    obs.gauge("replay.instructions", stats["instructions"])
+                    obs.gauge("replay.cse_hits", stats["cse_hits"])
+                    obs.gauge("replay.dead_pruned", stats["dead"])
+                    obs.gauge("replay.baked_constants", stats["baked"])
+            replay.traces = []
+        return loss.numpy(), grads
+
+    def _run_step(self, step):
+        """One serial optimizer step: eager, traced, or replayed."""
+        with obs.span("train.sample"):
+            batches, weights = self._step_batches(step)
+        loss, grads = self._loss_and_grads(batches, weights,
+                                           self.replays.get(None))
         with obs.span("train.optimizer"):
             self.optimizer.step(grads)
-        return loss.item()
+        return float(np.asarray(loss).item())
 
     def _verify_replay_externals(self, tape, batches):
         """Check ``replay_inputs`` mirrors the recorded externals bitwise.
@@ -345,30 +364,6 @@ class Trainer:
     # ------------------------------------------------------------------
     # Data-parallel step: shard losses/gradients, deterministic allreduce
     # ------------------------------------------------------------------
-    def _dp_shard_batches(self, step, shard):
-        """Per-constraint batches/weights for one owned shard (indices are
-        global, drawn by the shard's own samplers)."""
-        dp = self.dp
-        batches, weights = {}, {}
-        for constraint in self.constraints:
-            sampler = dp.shard_samplers[(constraint.name, shard)]
-            indices = sampler.batch_indices(
-                step, dp.shard_batch[constraint.name][shard])
-            batches[constraint.name] = indices
-            weight = constraint.sample_weight_for(indices)
-            importance = sampler.batch_weights(indices)
-            if importance is not None:
-                imp = importance.reshape(-1, 1)
-                weight = imp if weight is None else weight * imp
-            weights[constraint.name] = weight
-        return batches, weights
-
-    def _dp_assemble_loss(self, batches, weights):
-        """One shard's loss, ``1/S``-scaled *inside* the graph so the
-        allreduce is a pure fixed-order sum (compile tapes carry the
-        scale)."""
-        return self._assemble_loss(batches, weights) * self.dp.loss_scale
-
     def _dp_payload(self, shard, loss, grads):
         """This shard's allreduce contribution: scaled loss, float gradient
         arrays in params order, and cumulative bookkeeping counters."""
@@ -380,73 +375,11 @@ class Trainer:
         rebuild = sum(dp.shard_samplers[(c.name, shard)].rebuild_seconds
                       for c in self.constraints)
         return {
-            "loss": np.asarray(loss.numpy() if hasattr(loss, "numpy")
-                               else loss),
+            "loss": np.asarray(loss),
             "grads": arrays,
             "probe_points": int(probe),
             "rebuild_seconds": float(rebuild),
         }
-
-    def _dp_shard_step(self, step, shard, replay):
-        """One shard's eager / traced / replayed contribution."""
-        with obs.span("dp.shard", shard=shard):
-            with obs.span("train.sample"):
-                batches, weights = self._dp_shard_batches(step, shard)
-            if replay is not None and replay.program is not None:
-                try:
-                    with obs.span("train.replay"):
-                        loss_value, grads = replay.program.run(
-                            self._replay_externals(batches),
-                            self._weight_list(weights))
-                except ReplayStale as exc:
-                    replay.program = None
-                    replay.disabled = True
-                    replay.refusal = f"stale tape: {exc}"
-                    obs.inc("replay.fallback_stale")
-                else:
-                    return self._dp_payload(shard, loss_value, grads)
-            if replay is not None and not replay.disabled:
-                loss, grads = self._dp_traced_shard(step, shard, replay,
-                                                    batches, weights)
-                return self._dp_payload(shard, loss, grads)
-            with obs.span("train.forward"):
-                loss = self._dp_assemble_loss(batches, weights)
-            with obs.span("train.backward"):
-                grads = gradients(loss, self.params)
-            return self._dp_payload(shard, loss, grads)
-
-    def _dp_traced_shard(self, step, shard, replay, batches, weights):
-        """Mirror of :meth:`_traced_step` for one shard (no optimizer
-        step — that happens once, on the reduced gradient)."""
-        param_data = [p.data.copy() for p in self.params]
-        with record_tape(provenance=True) as tape:
-            with obs.span("train.forward"):
-                loss = self._dp_assemble_loss(batches, weights)
-            with obs.span("train.backward"):
-                grads = gradients(loss, self.params)
-        mismatch = self._verify_replay_externals(tape, batches)
-        if mismatch is not None:
-            replay.disabled = True
-            replay.refusal = mismatch
-            replay.traces = []
-            return loss, grads
-        replay.traces.append(StepTrace(tape, loss, grads, param_data,
-                                       self._weight_list(weights)))
-        if len(replay.traces) == self.TRACE_STEPS:
-            try:
-                with obs.timed_span("replay.compile") as compile_timer:
-                    replay.program = compile_step(replay.traces[0],
-                                                  replay.traces[1],
-                                                  self.params)
-            except ReplayRefused as exc:
-                replay.disabled = True
-                replay.refusal = str(exc)
-                obs.inc("replay.fallback_refused")
-            else:
-                obs.inc("replay.compile_count")
-                obs.inc("replay.compile_seconds", compile_timer.seconds)
-            replay.traces = []
-        return loss, grads
 
     def _dp_reduce(self, step, phase, local):
         """Gather all shard contributions and tree-reduce them in ascending
@@ -467,9 +400,13 @@ class Trainer:
         dp = self.dp
         local = {}
         for shard in dp.owned:
-            replay = (None if self._dp_replay is None
-                      else self._dp_replay[shard])
-            local[shard] = self._dp_shard_step(step, shard, replay)
+            with obs.span("dp.shard", shard=shard):
+                with obs.span("train.sample"):
+                    batches, weights = self._step_batches(step, shard)
+                # no names for the loss and gradients: the shard's graph
+                # must be freed before the next shard builds its own
+                local[shard] = self._dp_payload(shard, *self._loss_and_grads(
+                    batches, weights, self.replays.get(shard), dp.loss_scale))
         reduced = self._dp_reduce(step, "grad", local)
 
         # exact global totals come out of the reduction itself; the first
@@ -523,19 +460,14 @@ class Trainer:
 
         One of ``"eager"``, ``"tracing"``, ``"replay"`` or
         ``"eager (refused: ...)"`` / ``"eager (stale: ...)"`` when the
-        compile attempt fell back.  Under data-parallel training the modes
-        of this rank's shard replays are reported per shard when they
-        disagree.
+        compile attempt fell back.  Lanes whose modes disagree (shards of a
+        data-parallel rank) are reported per shard.
         """
-        if self.dp is not None:
-            if self._dp_replay is None:
-                return "eager"
-            modes = {shard: self._replay_mode(self._dp_replay[shard])
-                     for shard in sorted(self._dp_replay)}
-            if len(set(modes.values())) == 1:
-                return next(iter(modes.values()))
-            return "; ".join(f"shard{s}: {m}" for s, m in modes.items())
-        return self._replay_mode(getattr(self, "replay_state", None))
+        modes = {lane: self._replay_mode(replay)
+                 for lane, replay in self.replays.items()}
+        if len(set(modes.values())) <= 1:
+            return next(iter(modes.values()), "eager")
+        return "; ".join(f"shard{s}: {m}" for s, m in sorted(modes.items()))
 
     @staticmethod
     def _replay_mode(replay):
@@ -634,13 +566,9 @@ class Trainer:
         # only mid-training rebuilds run on the paper's background thread
         credited = self._total_rebuild_seconds()
 
-        self.replay_state = (_ReplayState()
-                             if compile and not use_closure
-                             and self.dp is None else None)
-        if self.dp is not None:
-            self._dp_replay = ({shard: _ReplayState()
-                                for shard in self.dp.owned}
-                               if compile else None)
+        lanes = [None] if self.dp is None else self.dp.owned
+        self.replays = ({lane: _ReplayState() for lane in lanes}
+                        if compile and not use_closure else {})
         last_errors = dict(last_errors or {})
         with obs.span("train.run", label=label):
             for step in range(start_step, steps):
@@ -650,7 +578,7 @@ class Trainer:
                     elif use_closure:
                         loss_value = self._closure_step(step)
                     else:
-                        loss_value = self._run_step(step, self.replay_state)
+                        loss_value = self._run_step(step)
                     if self.scheduler is not None:
                         self.scheduler.step()
 
@@ -689,26 +617,14 @@ class Trainer:
         return history
 
     def _closure_step(self, step):
-        """Drive a closure-based optimizer (L-BFGS) on one fixed batch."""
+        """Drive a closure-based optimizer (L-BFGS) on one fixed batch,
+        with the same sample×importance weights as every other step."""
         with obs.span("train.sample"):
-            batches = {c.name: self.samplers[c.name].batch_indices(
-                step, c.batch_size) for c in self.constraints}
+            batches, weights = self._step_batches(step)
 
         def closure():
-            total = None
-            with obs.span("train.forward"):
-                for constraint in self.constraints:
-                    residuals, weight = constraint.residuals(
-                        self.net, batches[constraint.name])
-                    for tensor in residuals.values():
-                        squared = tensor * tensor
-                        if weight is not None:
-                            squared = squared * weight
-                        term = squared.mean() * constraint.weight
-                        total = term if total is None else total + term
-            with obs.span("train.backward"):
-                grads = gradients(total, self.params)
-            return total.item(), [g.numpy() for g in grads]
+            loss, grads = self._eager_loss_and_grads(batches, weights, None)
+            return loss.item(), [g.numpy() for g in grads]
 
         with obs.span("train.optimizer"):
             return self.optimizer.step_closure(closure)

@@ -11,19 +11,7 @@ from __future__ import annotations
 import time
 import warnings
 
-__all__ = ["Timer", "TrainingClock"]
-
-
-class Timer:
-    """Context manager measuring elapsed wall seconds."""
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
-        return False
+__all__ = ["TrainingClock"]
 
 
 class TrainingClock:

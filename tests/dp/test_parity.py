@@ -6,7 +6,20 @@ more ranks, thread/process/queue placement, compiled replay — must
 reproduce its history (steps, losses, errors, probe points) and final
 network weights bit-for-bit.  Wall times are physical and excluded by
 construction (they are not compared anywhere here).
+
+Parity across world sizes alone would not notice a change that moved every
+world size the same way, so the W=1 trajectories are also pinned exactly
+in ``w1_trajectories.json``: losses, probe points, and a sha256 of the
+final weights.  They were recorded before the shard step, the SGM shard
+sampler, and the replica wiring were folded into the serial training path,
+and must not move.  Regenerate only for an intentional numeric change::
+
+    PYTHONPATH=src python tests/dp/test_parity.py
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +43,10 @@ PROBLEMS = {
 STEPS = 4
 N_INTERIOR = 320
 BATCH = 64
+PINNED_PATH = Path(__file__).parent / "w1_trajectories.json"
+#: ``problem:sampler`` runs pinned at W=1
+PINNED_KEYS = tuple(f"{problem}:sgm" for problem in sorted(PROBLEMS)) + (
+    "burgers:uniform", "burgers:mis")
 
 
 def _run(problem, *, world_size, backend="thread", compile=False,
@@ -55,11 +72,30 @@ def _assert_bit_identical(a, b):
         assert a_state[key].tobytes() == b_state[key].tobytes(), key
 
 
+def _fingerprint(result):
+    """Losses, probe points, and a sha256 of the final weights."""
+    state = result.net.state_dict()
+    digest = hashlib.sha256()
+    for key in sorted(state):
+        digest.update(key.encode("utf-8"))
+        digest.update(np.ascontiguousarray(state[key]).tobytes())
+    return {"losses": [float(x) for x in result.history.losses],
+            "probe_points": [int(x) for x in result.history.probe_points],
+            "weights_sha256": digest.hexdigest()}
+
+
+def _assert_pinned(result, key):
+    with open(PINNED_PATH) as handle:
+        pinned = json.load(handle)[key]
+    assert _fingerprint(result) == pinned, key
+
+
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_world_size_parity_across_every_problem(problem):
     """W in {1, 2, 4} on in-process thread ranks, sgm sharding."""
     serial = _run(problem, world_size=1)
     assert serial.history.losses, "trajectory must not be empty"
+    _assert_pinned(serial, f"{problem}:sgm")
     for world_size in (2, 4):
         distributed = _run(problem, world_size=world_size)
         _assert_bit_identical(serial, distributed)
@@ -71,9 +107,11 @@ def test_world_size_parity_across_every_problem(problem):
                                       head[key]), (world_size, key)
 
 
-@pytest.mark.parametrize("kind", ["uniform", "mis"])
+@pytest.mark.parametrize("kind", ["uniform", "mis", "sgm_s"])
 def test_world_size_parity_for_other_sampler_kinds(kind):
     serial = _run("burgers", world_size=1, sampler=kind)
+    if kind != "sgm_s":   # sgm_s has no earlier dp trajectory to pin
+        _assert_pinned(serial, f"burgers:{kind}")
     distributed = _run("burgers", world_size=4, sampler=kind)
     _assert_bit_identical(serial, distributed)
 
@@ -154,3 +192,19 @@ def test_session_and_cli_surface_reach_run_dp(tmp_path):
                "--batch-size", str(BATCH), "--world-size", "2",
                "--backend", "thread", "--store", str(tmp_path / "cli")])
     assert rc == 0
+
+
+def regenerate():
+    """Rewrite ``w1_trajectories.json`` from the current code."""
+    pinned = {}
+    for key in PINNED_KEYS:
+        problem, sampler = key.split(":")
+        pinned[key] = _fingerprint(_run(problem, world_size=1,
+                                        sampler=sampler))
+    with open(PINNED_PATH, "w") as handle:
+        json.dump(pinned, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.dp import (
-    ClusterPlan, LocalExchange, ShardSGMSampler, check_disjoint_cover,
-    decode_payload, encode_payload, make_shard_sampler, payload_nbytes,
-    shard_batch_sizes, shard_cover, stride_shards, tree_add, tree_reduce,
+    ClusterPlan, LocalExchange, check_disjoint_cover, decode_payload,
+    encode_payload, make_shard_sampler, payload_nbytes, shard_batch_sizes,
+    shard_cover, stride_shards, tree_add, tree_reduce,
 )
 from repro.experiments import burgers_config
+from repro.sampling import SGMSampler
 
 finite32 = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                      allow_infinity=False, width=32)
@@ -312,23 +313,25 @@ def test_shard_sgm_sampler_state_round_trips(tmp_path):
     prob, interior = _interior_constraint()
     plan = ClusterPlan(prob.interior_cloud.features(), 2,
                        k=config.knn_k, level=config.lrd_level, seed=0)
-    sampler = ShardSGMSampler(plan, 0, tau_e=3, tau_G=0,
-                              probe_ratio=0.2,
-                              seed=np.random.SeedSequence([0, 0, 0]))
+    sampler = SGMSampler(plan.features, tau_e=3, tau_G=0, probe_ratio=0.2,
+                         seed=np.random.SeedSequence([0, 0, 0]),
+                         ).follow_plan(plan, 0)
     sampler.bind_probes(probe_loss=lambda idx: np.ones(len(idx)))
     sampler.start()
     drawn = [sampler.batch_indices(step, 8) for step in range(4)]
 
-    twin = ShardSGMSampler(plan, 0, tau_e=3, tau_G=0, probe_ratio=0.2,
-                           seed=np.random.SeedSequence([0, 0, 0]))
+    twin = SGMSampler(plan.features, tau_e=3, tau_G=0, probe_ratio=0.2,
+                      seed=np.random.SeedSequence([0, 0, 0]),
+                      ).follow_plan(plan, 0)
     twin.bind_probes(probe_loss=lambda idx: np.ones(len(idx)))
     twin.start()
     for step in range(2):
         twin.batch_indices(step, 8)
     state = twin.state_dict()
 
-    resumed = ShardSGMSampler(plan, 0, tau_e=3, tau_G=0, probe_ratio=0.2,
-                              seed=np.random.SeedSequence([0, 0, 0]))
+    resumed = SGMSampler(plan.features, tau_e=3, tau_G=0, probe_ratio=0.2,
+                         seed=np.random.SeedSequence([0, 0, 0]),
+                         ).follow_plan(plan, 0)
     resumed.bind_probes(probe_loss=lambda idx: np.ones(len(idx)))
     resumed.load_state_dict(state)
     for step in range(2, 4):
@@ -340,7 +343,8 @@ def test_dp_unsupported_sampler_kind_raises():
     config = burgers_config("smoke")
     _, interior = _interior_constraint()
     with pytest.raises(ValueError, match="sampler kinds"):
-        make_shard_sampler("sgm_s", config, interior, n_shards=2, shard=0,
+        make_shard_sampler("no_such_sampler", config, interior,
+                           n_shards=2, shard=0,
                            seed_seq=np.random.SeedSequence([0]))
 
 

@@ -49,17 +49,14 @@ def test_load_run_config_toml(tmp_path):
     assert rc.steps == 25 and rc.seed == 7
     assert rc.store_root == "my-runs" and rc.checkpoint_every == 10
     assert rc.samplers == ["uniform", "mis"] and rc.backend == "process"
-    assert rc.executor == "process"     # deprecated-name alias
 
 
-def test_legacy_executor_key_maps_onto_backend(tmp_path):
+def test_legacy_executor_key_is_an_unknown_suite_key(tmp_path):
     legacy = EXPERIMENT.replace('backend = "process"',
                                 'executor = "process"')
-    rc = load_run_config(_write(tmp_path, legacy))
-    assert rc.backend == "process"
-    both = EXPERIMENT + 'executor = "serial"\n'
-    with pytest.raises(ValueError, match="keep only backend"):
-        load_run_config(_write(tmp_path, both))
+    with pytest.raises(ValueError,
+                       match=r"unknown \[suite\] key\(s\) \['executor'\]"):
+        load_run_config(_write(tmp_path, legacy))
 
 
 def test_load_run_config_json(tmp_path):

@@ -135,3 +135,35 @@ class TestMechanics:
         # hidden accounting must not exceed charged accounting by the cost
         # of the mid-training rebuilds (same machine, same work)
         assert hidden <= charged * 1.5
+
+    def test_lbfgs_closure_minimises_the_importance_weighted_loss(self):
+        # the closure must weight its loss like the gradient steps do: after
+        # MIS's first refresh, that is the 1/(N p_i)-weighted batch loss
+        from repro.nn import LBFGS
+        interior, constraints, _ = poisson_problem(n_interior=400)
+        net = make_net()
+        sampler = MISSampler(len(interior), tau_e=50, seed=3)
+        trainer = Trainer(net, constraints, LBFGS(net.parameters()),
+                          samplers={"interior": sampler})
+        drawn = {}
+        for name, constraint_sampler in trainer.samplers.items():
+            def record(step, size, _draw=constraint_sampler.batch_indices,
+                       _name=name):
+                drawn[_name] = _draw(step, size)
+                return drawn[_name]
+            constraint_sampler.batch_indices = record
+        closure_losses = []
+
+        def capture(closure):
+            closure_losses.append(closure()[0])
+            return closure_losses[-1]
+        trainer.optimizer.step_closure = capture
+        trainer.train(1, validate_every=10 ** 6, record_every=1)
+
+        importance = sampler.batch_weights(drawn["interior"]).reshape(-1, 1)
+        weighted = trainer._assemble_loss(
+            drawn, {"interior": importance, "walls": None}).item()
+        unweighted = trainer._assemble_loss(
+            drawn, {"interior": None, "walls": None}).item()
+        assert weighted != pytest.approx(unweighted)
+        assert closure_losses == [weighted]
