@@ -15,6 +15,15 @@ the triangle inequality).  Clusters therefore provably satisfy the budget.
 target cluster count, so higher levels give coarser decompositions
 (``n_clusters ≈ n / 2^level``) unless the resistance budget stops the
 contraction first.
+
+The contraction is one sequential budgeted-Kruskal pass: edges sorted by
+resistance (stable), each merged through a union-find with union by size and
+path compression, O(m α(n)) after the O(m log m) sort.  The pass runs over
+plain Python ints and floats (``.tolist()`` once, then list indexing):
+indexing numpy arrays one scalar at a time made the same loop 5-6x slower.
+The diameter sums are double additions in a fixed order, so the clusters
+are bit-identical to the numpy-array union-find that
+``tests/graph/test_lrd.py`` keeps as an oracle.
 """
 
 from __future__ import annotations
@@ -24,42 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .. import obs
 from .resistance import approx_edge_resistance
 
 __all__ = ["LRDResult", "lrd_decompose", "cluster_sizes"]
-
-
-class _UnionFind:
-    """Union-find with per-root cluster size and resistance-diameter."""
-
-    def __init__(self, n):
-        self.parent = np.arange(n)
-        self.size = np.ones(n, dtype=np.int64)
-        self.diameter = np.zeros(n)
-
-    def find(self, node):
-        root = node
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[node] != root:       # path compression
-            self.parent[node], node = root, self.parent[node]
-        return root
-
-    def union(self, a, b, edge_resistance, budget):
-        """Merge the clusters of ``a``/``b`` if the merged resistance
-        diameter stays within ``budget``.  Returns True on merge."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        merged_diameter = self.diameter[ra] + edge_resistance + self.diameter[rb]
-        if merged_diameter > budget:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.diameter[ra] = merged_diameter
-        return True
 
 
 @dataclass
@@ -88,6 +65,33 @@ class LRDResult:
     edge_resistance: np.ndarray
     edges: np.ndarray
     budget: float
+
+
+def _find(parent, node):
+    """Root of ``node`` in the union-find forest ``parent``, compressing
+    the path behind it."""
+    root = node
+    while parent[root] != root:
+        root = parent[root]
+    while parent[node] != root:
+        parent[node], node = root, parent[node]
+    return root
+
+
+def _checked_resistance(edge_resistance, n_edges):
+    """Caller-supplied per-edge ER as float64, or a ValueError unless it
+    holds one finite, non-negative entry per upper-triangle edge."""
+    edge_resistance = np.asarray(edge_resistance, dtype=np.float64)
+    if edge_resistance.shape != (n_edges,):
+        raise ValueError(
+            f"edge_resistance has shape {edge_resistance.shape} but the "
+            f"graph has {n_edges} upper-triangle edges")
+    bad = ~np.isfinite(edge_resistance) | (edge_resistance < 0)
+    if bad.any():
+        raise ValueError(
+            f"edge_resistance must be finite and non-negative; "
+            f"{int(bad.sum())} of {n_edges} entries are not")
+    return edge_resistance
 
 
 def lrd_decompose(adjacency, level=6, budget=None, num_vectors=16, seed=0,
@@ -119,31 +123,52 @@ def lrd_decompose(adjacency, level=6, budget=None, num_vectors=16, seed=0,
     n = adjacency.shape[0]
     coo = sp.triu(adjacency, k=1).tocoo()
     edges = np.stack([coo.row, coo.col], axis=1)
+    if edge_resistance is not None:
+        edge_resistance = _checked_resistance(edge_resistance, len(edges))
     if len(edges) == 0:
         return LRDResult(labels=np.arange(n), n_clusters=n,
                          diameters=np.zeros(n), edge_resistance=np.zeros(0),
                          edges=edges, budget=0.0)
     if edge_resistance is None:
-        edge_resistance = approx_edge_resistance(
-            adjacency, edges, num_vectors=num_vectors, seed=seed)
-    edge_resistance = np.asarray(edge_resistance, dtype=np.float64)
+        with obs.span("lrd.sketch"):
+            edge_resistance = approx_edge_resistance(
+                adjacency, edges, num_vectors=num_vectors, seed=seed)
     if budget is None:
         budget = float(edge_resistance.mean()) * (2.0 ** level)
 
-    order = np.argsort(edge_resistance, kind="stable")
-    uf = _UnionFind(n)
-    clusters = n
-    target = max(int(np.ceil(n / 2.0 ** level)), min_clusters)
-    for idx in order:
-        if clusters <= target:
-            break
-        a, b = edges[idx]
-        if uf.union(int(a), int(b), float(edge_resistance[idx]), budget):
+    with obs.span("lrd.merge"):
+        order = np.argsort(edge_resistance, kind="stable")
+        parent = list(range(n))
+        size = [1] * n
+        diameter = [0.0] * n
+        clusters = n
+        target = max(int(np.ceil(n / 2.0 ** level)), min_clusters)
+        for a, b, resistance in zip(edges[order, 0].tolist(),
+                                    edges[order, 1].tolist(),
+                                    edge_resistance[order].tolist()):
+            if clusters <= target:
+                break
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra == rb:
+                continue
+            merged_diameter = diameter[ra] + resistance + diameter[rb]
+            if merged_diameter > budget:
+                continue
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
+            diameter[ra] = merged_diameter
             clusters -= 1
 
-    roots = np.array([uf.find(i) for i in range(n)])
-    unique_roots, labels = np.unique(roots, return_inverse=True)
-    diameters = uf.diameter[unique_roots]
+        roots = np.array(parent)
+        while True:                     # pointer jumping to the final roots
+            jumped = roots[roots]
+            if np.array_equal(jumped, roots):
+                break
+            roots = jumped
+        unique_roots, labels = np.unique(roots, return_inverse=True)
+        diameters = np.array(diameter)[unique_roots]
     return LRDResult(labels=labels, n_clusters=len(unique_roots),
                      diameters=diameters, edge_resistance=edge_resistance,
                      edges=edges, budget=float(budget))

@@ -262,6 +262,14 @@ class SGMSampler(Sampler):
             cluster_loss = np.array([
                 losses[offsets[i]:offsets[i + 1]].mean()
                 for i in range(len(subsets))])
+            non_finite = int(np.count_nonzero(~np.isfinite(cluster_loss)))
+            if non_finite:
+                raise FloatingPointError(
+                    f"{non_finite} of {len(subsets)} clusters have "
+                    f"non-finite probe losses in SGM refresh "
+                    f"{self.refresh_count + 1} (rebuild "
+                    f"{self.rebuild_count}); the sampling ratios would be "
+                    f"NaN")
             score = _minmax(cluster_loss)
 
             if self.use_isr:

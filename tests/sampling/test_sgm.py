@@ -54,6 +54,22 @@ class TestClustering:
 
 
 class TestScoring:
+    def test_non_finite_probe_loss_raises(self):
+        sampler, features = make_sampler()
+        finite = corner_loss(features)
+
+        def nan_at_first_probe(indices):
+            losses = finite(indices)
+            losses[0] = np.nan
+            return losses
+
+        sampler.bind_probes(probe_loss=nan_at_first_probe)
+        sampler.start()
+        with pytest.raises(FloatingPointError,
+                           match=r"1 of \d+ clusters have non-finite probe "
+                                 r"losses in SGM refresh 1 "):
+            sampler.refresh_scores()
+
     def test_probe_count_is_r_fraction(self):
         sampler, _ = make_sampler(probe_ratio=0.15)
         sampler.start()
