@@ -26,7 +26,7 @@ from ..utils import TrainingClock
 from .problems import build_problem
 from .registry import problem_registry, sampler_registry
 from .samplers import make_sampler
-from .types import RunResult
+from .types import RunResult, SamplerStats
 
 __all__ = ["Session", "problem", "run_problem"]
 
@@ -138,16 +138,33 @@ def run_problem(prob, config, sampler="uniform", batch_size=None,
     """
     seed = config.seed if seed is None else seed
     batch_size = config.batch_small if batch_size is None else batch_size
-    steps = config.steps if steps is None else steps
-    label = label if label is not None else f"{prob.name}:{sampler}"
-    trainer, sampler_obj = _wire_training(prob, config, sampler, batch_size,
-                                          seed, validators)
+    trainer, _ = _wire_training(prob, config, sampler, batch_size, seed,
+                                validators)
+    return _train_wired(
+        trainer, prob, config, sampler, seed=seed, batch_size=batch_size,
+        steps=config.steps if steps is None else steps,
+        label=label if label is not None else f"{prob.name}:{sampler}",
+        validators=validators, store=store, run_id=run_id,
+        checkpoint_every=checkpoint_every, resume=resume,
+        step_hooks=step_hooks, compile=compile, trace=trace)
 
-    recorder = None
-    history = None
-    clock = None
+
+def _train_wired(trainer, prob, config, sampler, *, seed, batch_size, steps,
+                 label, validators, store=None, run_id=None,
+                 checkpoint_every=None, resume=False, step_hooks=(),
+                 compile=False, trace=False):
+    """Train a wired trainer through one run's lifecycle.
+
+    The one place a run is recorded and traced, for serial runs, resumes
+    and data-parallel ranks alike: opens (or, on ``resume``, reopens) the
+    store record, installs the per-run tracer, trains, marks the record
+    stopped on failure or finished on success, and returns the
+    :class:`~repro.api.RunResult`.  A data-parallel trainer
+    (``trainer.dp``) gets no checkpoint hook — its records cannot resume —
+    and records its shard count instead.
+    """
+    recorder = history = clock = last_errors = None
     start_step = 0
-    last_errors = None
     hooks = list(step_hooks)
     if store is not None:
         from ..store import RunStore
@@ -170,9 +187,11 @@ def run_problem(prob, config, sampler="uniform", batch_size=None,
                 validators=("default" if validators is None
                             else ("none" if len(validators) == 0
                                   else "custom")),
-                run_id=run_id, checkpoint_every=checkpoint_every)
+                run_id=run_id, checkpoint_every=checkpoint_every,
+                dp_shards=None if trainer.dp is None else trainer.dp.n_shards)
             history = recorder.streaming_history(label)
-        hooks.append(recorder.checkpoint_hook(trainer))
+        if trainer.dp is None:
+            hooks.append(recorder.checkpoint_hook(trainer))
 
     run_tracer = None
     with ExitStack() as stack:
@@ -198,8 +217,14 @@ def run_problem(prob, config, sampler="uniform", batch_size=None,
             if recorder is not None:
                 recorder.mark_stopped(exc)
             raise
+    if trainer.dp is None:
+        sampler_obj = trainer.samplers["interior"]
+        stats = SamplerStats.from_trainer(trainer, sampler_obj.name)
+    else:
+        stats = sampler_obj = SamplerStats.from_trainer(trainer,
+                                                        f"dp:{sampler}")
     if recorder is not None:
-        recorder.finish(history, sampler_obj)
+        recorder.finish(history, stats)
     coefficients = {name: module.value()
                     for name, module in prob.extra_modules.items()
                     if hasattr(module, "value")}
@@ -207,7 +232,8 @@ def run_problem(prob, config, sampler="uniform", batch_size=None,
                      sampler=sampler_obj, config=config,
                      run_id=None if recorder is None else recorder.run_id,
                      coefficients=coefficients,
-                     obs=None if run_tracer is None else run_tracer.export())
+                     obs=None if run_tracer is None else run_tracer.export(),
+                     sampler_stats=stats)
 
 
 class Session:

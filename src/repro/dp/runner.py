@@ -38,10 +38,9 @@ import numpy as np
 from .. import obs
 from ..api.problems import build_problem
 from ..api.registry import problem_registry
-from ..api.session import _wire_training
-from ..api.types import RunResult
+from ..api.session import _train_wired, _wire_training
+from ..api.types import MethodResult, MethodSpec
 from ..exec import resolve_backend
-from ..nn import FullyConnected
 from .exchange import LocalExchange, StoreExchange
 from .partition import shard_batch_sizes
 from .samplers import SUPPORTED_KINDS, ClusterPlan, make_shard_sampler
@@ -110,8 +109,8 @@ class _ThreadBackend:
         return results
 
 
-def _wire_dp_rank(prob, config, sampler, batch_size, seed, validators_mode,
-                  *, n_shards, world_size, rank, exchange):
+def _wire_dp_rank(prob, config, sampler, batch_size, seed, validators, *,
+                  n_shards, world_size, rank, exchange):
     """Assemble one rank's lockstep trainer replica.
 
     The network / optimizer / scheduler / validators come from
@@ -153,141 +152,51 @@ def _wire_dp_rank(prob, config, sampler, batch_size, seed, validators_mode,
             shard_samplers=shard_samplers, shard_batch=shard_batch,
             exchange=exchange, validator_rows=validator_rows)
 
-    trainer, _ = _wire_training(
-        prob, config, sampler, batch_size, seed,
-        [] if validators_mode == "none" else None,
-        shard_context=shard_context)
+    trainer, _ = _wire_training(prob, config, sampler, batch_size, seed,
+                                validators, shard_context=shard_context)
     return trainer
 
 
 def _train_dp_rank(spec):
-    """Module-level rank worker: build, train, return a picklable summary.
+    """Module-level rank worker: build, train, return a picklable
+    :class:`~repro.api.types.MethodResult`.
 
     Every execution backend (thread, process, queue) runs exactly this
-    function; the backend decides placement only.  Rank 0 additionally
-    owns the durable run record when a store root is in the spec.
+    function; the backend decides placement only.  Training goes through
+    the serial run lifecycle (:func:`repro.api.session._train_wired`);
+    rank 0 alone records (when a store root is in the spec) and traces.
     """
     config = spec["config"]
     seed = spec["seed"]
-    prob = build_problem(spec["problem"], config, spec["n_interior"],
-                         np.random.default_rng(seed))
-
-    world_size = spec["world_size"]
-    n_shards = spec["n_shards"]
     rank = spec["rank"]
-    if spec["exchange_root"] is None:
-        exchange = LocalExchange(n_shards)
-    else:
-        exchange = StoreExchange(
-            spec["exchange_root"], n_shards=n_shards,
-            world_size=world_size, rank=rank,
-            timeout=spec.get("exchange_timeout", 120.0))
-
-    trainer = _wire_dp_rank(
-        prob, config, spec["sampler"], spec["batch_size"], seed,
-        spec["validators_mode"], n_shards=n_shards,
-        world_size=world_size, rank=rank, exchange=exchange)
-
-    recorder = None
-    history = None
-    hooks = ()
-    if spec.get("store_root") is not None and rank == 0:
-        from ..store import RunStore
-        store = RunStore(spec["store_root"])
-        recorder = store.begin_run(
-            problem=prob.name, config=config, sampler=spec["sampler"],
-            seed=seed, steps=spec["steps"], label=spec["label"],
-            n_interior=len(prob.interior_cloud),
-            batch_size=spec["batch_size"],
-            validators=spec["validators_mode"],
-            run_id=spec.get("run_id"))
-        history = recorder.streaming_history(spec["label"])
-
-    tracer_cm = rank_tracer = None
-    try:
-        if spec.get("trace") and rank == 0:
-            stream = metrics_stream = None
-            if recorder is not None:
-                stream = recorder.path / "spans.jsonl"
-                metrics_stream = recorder.path / "metrics.jsonl"
-            tracer_cm = obs.tracing(stream=stream,
-                                    metrics_stream=metrics_stream)
-            rank_tracer = tracer_cm.__enter__()
+    with obs.stopwatch() as walltimer:
+        prob = build_problem(spec["problem"], config, spec["n_interior"],
+                             np.random.default_rng(seed))
+        if spec["exchange_root"] is None:
+            exchange = LocalExchange(spec["n_shards"])
+        else:
+            exchange = StoreExchange(
+                spec["exchange_root"], n_shards=spec["n_shards"],
+                world_size=spec["world_size"], rank=rank,
+                timeout=spec.get("exchange_timeout", 120.0))
+        trainer = _wire_dp_rank(
+            prob, config, spec["sampler"], spec["batch_size"], seed,
+            spec["validators"], n_shards=spec["n_shards"],
+            world_size=spec["world_size"], rank=rank, exchange=exchange)
         try:
-            history = trainer.train(spec["steps"],
-                                    validate_every=config.validate_every,
-                                    record_every=config.record_every,
-                                    label=spec["label"], history=history,
-                                    step_hooks=hooks,
-                                    compile=spec["compile"])
-        except BaseException as exc:
-            if recorder is not None:
-                recorder.mark_stopped(exc)
-            raise
-    finally:
-        if tracer_cm is not None:
-            tracer_cm.__exit__(None, None, None)
-        close = getattr(exchange, "close", None)
-        if close is not None:
-            close()
-
-    if recorder is not None:
-        recorder.finish(history, _DPSamplerStats(trainer, spec["sampler"]))
-
-    coefficients = {name: module.value()
-                    for name, module in prob.extra_modules.items()
-                    if hasattr(module, "value")}
-    return {
-        "rank": rank,
-        "history": _plain_history(history),
-        "net_args": {"in_features": prob.in_features,
-                     "out_features": prob.out_features,
-                     "width": config.network.width,
-                     "depth": config.network.depth,
-                     "activation": config.network.activation,
-                     "dtype": str(np.dtype(config.network.dtype))},
-        "net_state": trainer.net.state_dict(),
-        "coefficients": coefficients,
-        "run_id": None if recorder is None else recorder.run_id,
-        "obs_data": (None if rank_tracer is None
-                     else rank_tracer.export()),
-        "wall_seconds": (history.wall_times[-1] if history.wall_times
-                         else 0.0),
-    }
-
-
-class _DPSamplerStats:
-    """Sampler-statistics facade for the run record's ``sampler.json``.
-
-    ``probe_points`` is the exact global total from the last allreduce;
-    refresh/rebuild counts sum this rank's hosted interior shards (the
-    payloads do not carry them — they are diagnostics, not trajectory
-    state).
-    """
-
-    def __init__(self, trainer, sampler_name):
-        self.name = f"dp:{sampler_name}"
-        self.labels = None
-        self.probe_points = trainer.total_probe_points()
-        dp = trainer.dp
-        interior = [dp.shard_samplers[key] for key in dp.shard_samplers
-                    if key[0] == "interior"]
-        self.refresh_count = sum(getattr(s, "refresh_count", 0)
-                                 for s in interior)
-        self.rebuild_count = sum(getattr(s, "rebuild_count", 0)
-                                 for s in interior)
-
-
-def _plain_history(history):
-    """Copy a (possibly streaming) history into a plain picklable one."""
-    from ..training.history import History
-    plain = History(label=history.label)
-    plain.steps = list(history.steps)
-    plain.wall_times = list(history.wall_times)
-    plain.losses = list(history.losses)
-    plain.errors = {var: list(vals) for var, vals in history.errors.items()}
-    plain.probe_points = list(history.probe_points)
-    return plain
+            result = _train_wired(
+                trainer, prob, config, spec["sampler"], seed=seed,
+                batch_size=spec["batch_size"], steps=spec["steps"],
+                label=spec["label"], validators=spec["validators"],
+                store=spec["store_root"], run_id=spec["run_id"],
+                compile=spec["compile"], trace=spec["trace"] and rank == 0)
+        finally:
+            close = getattr(exchange, "close", None)
+            if close is not None:
+                close()
+    method = MethodSpec(spec["label"], spec["sampler"],
+                        len(prob.interior_cloud), spec["batch_size"])
+    return MethodResult.from_run(method, seed, walltimer.seconds, result)
 
 
 def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
@@ -321,7 +230,6 @@ def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
         raise ValueError("run_dp accepts validators=None (problem defaults) "
                          "or [] (skip validation); custom validator lists "
                          "cannot be shipped to worker ranks")
-    validators_mode = "default" if validators is None else "none"
 
     n_shards = (int(n_shards) if n_shards is not None
                 else int(getattr(config, "dp_shards", DEFAULT_SHARDS)))
@@ -353,7 +261,7 @@ def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
             "world_size": world_size, "n_shards": n_shards, "rank": rank,
             "exchange_root": exchange_root,
             "exchange_timeout": float(exchange_timeout),
-            "validators_mode": validators_mode, "compile": bool(compile),
+            "validators": validators, "compile": bool(compile),
             "trace": bool(trace),
             "store_root": store_root if rank == 0 else None,
             "run_id": run_id if rank == 0 else None,
@@ -382,34 +290,6 @@ def run_dp(problem, config, *, sampler="sgm", batch_size=None, seed=None,
         finally:
             shutil.rmtree(exchange_root, ignore_errors=True)
 
-    head = rank_results[0]
-    net = FullyConnected(
-        head["net_args"]["in_features"], head["net_args"]["out_features"],
-        width=head["net_args"]["width"], depth=head["net_args"]["depth"],
-        activation=head["net_args"]["activation"],
-        dtype=np.dtype(head["net_args"]["dtype"]))
-    net.load_state_dict(head["net_state"])
-    result = RunResult(label=label, history=head["history"], net=net,
-                       sampler=_ResultSamplerInfo(sampler, n_shards,
-                                                  world_size),
-                       config=config, run_id=head["run_id"],
-                       coefficients=head["coefficients"],
-                       obs=head["obs_data"])
+    result = rank_results[0].to_run_result(config)
     result.rank_results = rank_results
     return result
-
-
-class _ResultSamplerInfo:
-    """Lightweight sampler descriptor on a dp :class:`RunResult` (the real
-    shard samplers live — and die — inside the worker ranks)."""
-
-    def __init__(self, name, n_shards, world_size):
-        self.name = f"dp:{name}"
-        self.n_shards = int(n_shards)
-        self.world_size = int(world_size)
-        self.probe_points = 0
-        self.labels = None
-
-    def __repr__(self):
-        return (f"_ResultSamplerInfo(name={self.name!r}, "
-                f"n_shards={self.n_shards}, world_size={self.world_size})")

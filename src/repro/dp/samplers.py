@@ -45,13 +45,12 @@ class ClusterPlan:
     _STREAM = 104729
 
     def __init__(self, features, n_shards, *, k, level, num_vectors=16,
-                 knn_backend="kdtree", seed=0):
+                 seed=0):
         self.features = np.asarray(features, dtype=np.float64)
         self.n_shards = int(n_shards)
         self.k = int(k)
         self.level = int(level)
         self.num_vectors = int(num_vectors)
-        self.knn_backend = knn_backend
         self.seed = int(seed)
         self._cache = {}
 
@@ -70,8 +69,7 @@ class ClusterPlan:
                                     int(rebuild_index)]))
         with obs.timed_span("sampler.rebuild") as rebuild_timer:
             with obs.span("sampler.knn_build"):
-                adjacency = knn_adjacency(self.features, self.k,
-                                          backend=self.knn_backend)
+                adjacency = knn_adjacency(self.features, self.k)
             with obs.span("sampler.cluster_update"):
                 result = lrd_decompose(adjacency, level=self.level,
                                        num_vectors=self.num_vectors,

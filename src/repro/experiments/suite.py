@@ -16,8 +16,8 @@ seeds itself from its spec (the problem build, network init, and sampler
 all derive from ``config.seed`` / the run seed), so every backend
 produces bit-identical loss trajectories; results are returned in spec
 order regardless of completion order.  Workers return
-:class:`MethodResult` payloads that are fully picklable (history, net
-state dict, sampler statistics) instead of live trainer objects.
+:class:`MethodResult` payloads that are fully picklable (history, trained
+network, sampler statistics) instead of live trainer objects.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import obs
 from ..api.registry import problem_registry, sampler_registry
-from ..api.types import MethodSpec, RunResult
+from ..api.types import MethodResult, MethodSpec, SamplerStats
 from ..exec import resolve_backend
 
 __all__ = [
@@ -110,78 +110,6 @@ def resolve_methods(config, methods=None, n_interior=None, batch_size=None):
     return specs
 
 
-class SamplerStats:
-    """Picklable stand-in for a worker's sampler: statistics only.
-
-    Carries the attributes the tables/figures/examples read from a trained
-    sampler (``probe_points`` overhead, SGM cluster ``labels``) without the
-    live probe closures, which cannot cross a process boundary.
-    """
-
-    def __init__(self, name, probe_points, labels=None, refresh_count=0,
-                 rebuild_count=0):
-        self.name = name
-        self.probe_points = int(probe_points)
-        self.labels = labels
-        self.refresh_count = int(refresh_count)
-        self.rebuild_count = int(rebuild_count)
-
-    def __repr__(self):
-        return (f"SamplerStats(name={self.name!r}, "
-                f"probe_points={self.probe_points})")
-
-
-@dataclass
-class MethodResult:
-    """One trained suite column, in picklable form.
-
-    ``run_id`` names the method's record when the sweep wrote into a
-    :class:`repro.store.RunStore` (else ``None``).
-    """
-
-    spec: MethodSpec
-    seed: int
-    history: object
-    wall_seconds: float
-    sampler_stats: SamplerStats
-    net_arch: dict = field(repr=False, default=None)
-    net_state: dict = field(repr=False, default=None)
-    run_id: str = None
-    #: the cell's exported span/metric data (``Tracer.export()`` dict) when
-    #: the sweep traced; plain picklable data that survives the pool
-    obs_data: dict = field(repr=False, default=None)
-
-    @property
-    def label(self):
-        return self.spec.label
-
-    @property
-    def kind(self):
-        return self.spec.kind
-
-    @property
-    def probe_points(self):
-        return self.sampler_stats.probe_points
-
-    def rebuild_net(self):
-        """Reconstruct the trained network from its architecture + state."""
-        from ..nn import FullyConnected
-        arch = self.net_arch
-        net = FullyConnected(arch["in_features"], arch["out_features"],
-                             width=arch["width"], depth=arch["depth"],
-                             activation=arch["activation"],
-                             dtype=np.dtype(arch["dtype"]))
-        net.load_state_dict(self.net_state)
-        return net
-
-    def to_run_result(self, config=None):
-        """Adapt to the :class:`~repro.api.RunResult` shape legacy callers
-        (tables, figures, examples) consume."""
-        return RunResult(label=self.label, history=self.history,
-                         net=self.rebuild_net(), sampler=self.sampler_stats,
-                         config=config)
-
-
 @dataclass
 class SuiteResult:
     """All methods of one sweep, in spec order with per-method timing."""
@@ -209,7 +137,7 @@ class SuiteResult:
         return {m.label: m.wall_seconds for m in self.methods}
 
     def run_results(self):
-        """``{label: RunResult}`` with reconstructed trained networks."""
+        """``{label: RunResult}`` with the trained networks."""
         return {m.label: m.to_run_result(self.config) for m in self.methods}
 
     def __len__(self):
@@ -260,25 +188,7 @@ def _train_method(task):
                              validators=validators, store=store,
                              checkpoint_every=checkpoint_every,
                              compile=compile, trace=trace)
-    wall = walltimer.seconds
-
-    sampler = result.sampler
-    labels = getattr(sampler, "labels", None)
-    stats = SamplerStats(
-        name=getattr(sampler, "name", type(sampler).__name__),
-        probe_points=sampler.probe_points,
-        labels=None if labels is None else np.asarray(labels).copy(),
-        refresh_count=getattr(sampler, "refresh_count", 0),
-        rebuild_count=getattr(sampler, "rebuild_count", 0))
-    arch = {"in_features": result.net.in_features,
-            "out_features": result.net.out_features,
-            "width": config.network.width, "depth": config.network.depth,
-            "activation": config.network.activation,
-            "dtype": config.network.dtype}
-    return MethodResult(spec=spec, seed=seed, history=result.history,
-                        wall_seconds=wall, sampler_stats=stats,
-                        net_arch=arch, net_state=result.net.state_dict(),
-                        run_id=result.run_id, obs_data=result.obs)
+    return MethodResult.from_run(spec, seed, walltimer.seconds, result)
 
 
 def run_suite(problem, methods=None, *, backend="process", max_workers=None, workers_external=False, seed=None,

@@ -11,7 +11,6 @@ from .resistance import (
     spectral_embedding_resistance, resistance_embedding,
 )
 from .lrd import LRDResult, lrd_decompose, cluster_sizes
-from .partition import grid_partition, parallel_lrd
 from .conductance import cut_fraction, cluster_conductance, partition_summary
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "exact_effective_resistance", "approx_edge_resistance",
     "spectral_embedding_resistance", "resistance_embedding",
     "LRDResult", "lrd_decompose", "cluster_sizes",
-    "grid_partition", "parallel_lrd",
 ]

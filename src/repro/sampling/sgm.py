@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from ..graph import knn_adjacency, lrd_decompose, parallel_lrd
+from ..graph import knn_adjacency, lrd_decompose
 from ..stability import spade_scores
 from .base import Sampler, _scalar
 
@@ -53,7 +53,6 @@ class SGMSampler(Sampler):
     def __init__(self, features, k=30, level=10, tau_e=7000, tau_G=25000,
                  probe_ratio=0.15, use_isr=False, isr_weight=1.0, isr_k=10,
                  isr_rank=6, ratio_range=(0.05, 0.9), num_vectors=16,
-                 cells_per_dim=1, knn_backend="kdtree",
                  append_output_features=False, output_feature_weight=1.0,
                  seed=0):
         """
@@ -81,8 +80,6 @@ class SGMSampler(Sampler):
             mapped onto (Algorithm 1, line 9).
         num_vectors:
             Sketch depth for the effective-resistance estimator.
-        cells_per_dim:
-            Grid partitioning for the (re)build, §3.3 (1 = no partitioning).
         append_output_features:
             §3.2: at every ``tau_G`` rebuild after the first, append the
             network's current outputs (e.g. flow velocities) to the graph
@@ -111,8 +108,6 @@ class SGMSampler(Sampler):
         if not 0.0 < self.ratio_min <= self.ratio_max <= 1.0:
             raise ValueError("need 0 < p_min <= p_max <= 1")
         self.num_vectors = int(num_vectors)
-        self.cells_per_dim = int(cells_per_dim)
-        self.knn_backend = knn_backend
         self.append_output_features = bool(append_output_features)
         self.output_feature_weight = float(output_feature_weight)
 
@@ -195,25 +190,13 @@ class SGMSampler(Sampler):
             return
         with obs.timed_span("sampler.rebuild") as rebuild_timer:
             graph_features = self._graph_features()
-            if self.cells_per_dim > 1:
-                # the partitioned path fuses kNN + LRD per grid cell, so a
-                # single cluster-update span covers both stages
-                with obs.span("sampler.cluster_update"):
-                    labels, _ = parallel_lrd(
-                        graph_features, k=self.k, level=self.level,
-                        cells_per_dim=self.cells_per_dim,
-                        num_vectors=self.num_vectors,
-                        seed=int(self.rng.integers(2 ** 31)))
-            else:
-                with obs.span("sampler.knn_build"):
-                    adjacency = knn_adjacency(graph_features, self.k,
-                                              backend=self.knn_backend)
-                with obs.span("sampler.cluster_update"):
-                    result = lrd_decompose(
-                        adjacency, level=self.level,
-                        num_vectors=self.num_vectors,
-                        seed=int(self.rng.integers(2 ** 31)))
-                    labels = result.labels
+            with obs.span("sampler.knn_build"):
+                adjacency = knn_adjacency(graph_features, self.k)
+            with obs.span("sampler.cluster_update"):
+                labels = lrd_decompose(
+                    adjacency, level=self.level,
+                    num_vectors=self.num_vectors,
+                    seed=int(self.rng.integers(2 ** 31))).labels
             self._set_labels(labels)
         self.rebuild_seconds += rebuild_timer.seconds
         self.rebuild_count += 1

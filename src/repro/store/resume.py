@@ -29,6 +29,10 @@ def resume_run(store, run_id, steps=None, checkpoint_every=None,
         a ``completed`` run re-opens only when ``steps`` extends past its
         recorded total.  Without a checkpoint the run restarts from step 0
         (nothing was persisted to continue from, but the record is reused).
+        Data-parallel records (``dp_shards`` in ``meta.json``) never
+        resume: they hold no checkpoints, and the serial path would
+        retrain a different trajectory over them; a ``ValueError`` naming
+        the record is raised instead.
     steps:
         Optional new total step count (e.g. extend a finished run);
         defaults to the step count recorded at launch.
@@ -57,6 +61,11 @@ def resume_run(store, run_id, steps=None, checkpoint_every=None,
         raise ValueError(
             f"run {run_id!r} trained with caller-supplied validators, which "
             f"are not persisted; re-run instead of resuming")
+    if meta.get("dp_shards") is not None:
+        raise ValueError(
+            f"run {run_id!r} is a data-parallel record "
+            f"({meta['dp_shards']} shards); data-parallel runs write no "
+            f"checkpoints and cannot resume; re-run instead of resuming")
     config = record.load_config()
     validators = [] if meta.get("validators") == "none" else None
     prob = build_problem(meta["problem"], config, meta["n_interior"],

@@ -418,8 +418,12 @@ class RunStore:
 
     def begin_run(self, *, problem, config, sampler, seed, steps, label,
                   n_interior, batch_size, validators="default", run_id=None,
-                  checkpoint_every=None):
-        """Create a run directory and return its :class:`RunRecorder`."""
+                  checkpoint_every=None, dp_shards=None):
+        """Create a run directory and return its :class:`RunRecorder`.
+
+        ``dp_shards`` marks a data-parallel run (its logical shard count);
+        such records write no checkpoints and refuse resume.
+        """
         run_id = run_id or self._new_run_id(problem, sampler)
         path = self.root / run_id
         if path.exists():
@@ -444,6 +448,8 @@ class RunStore:
             "created_at": time.time(),
             **_environment_meta(),
         }
+        if dp_shards is not None:
+            meta["dp_shards"] = int(dp_shards)
         recorder = RunRecorder(self, path, meta, checkpoint_every)
         toml_compat.dump(config_to_tables(problem, config),
                          path / "config.toml")

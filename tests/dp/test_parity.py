@@ -100,10 +100,10 @@ def test_world_size_parity_across_every_problem(problem):
         distributed = _run(problem, world_size=world_size)
         _assert_bit_identical(serial, distributed)
         # every rank's replica folded the same reduced gradients
-        head = distributed.rank_results[0]["net_state"]
+        head = distributed.rank_results[0].net_state
         for rank_result in distributed.rank_results[1:]:
             for key in head:
-                assert np.array_equal(rank_result["net_state"][key],
+                assert np.array_equal(rank_result.net_state[key],
                                       head[key]), (world_size, key)
 
 

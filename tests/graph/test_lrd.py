@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.graph import (
     adjacency_from_edges, cluster_sizes, exact_effective_resistance,
-    grid_partition, knn_adjacency, lrd_decompose, parallel_lrd,
+    knn_adjacency, lrd_decompose,
 )
 
 RNG = np.random.default_rng(0)
@@ -205,51 +205,3 @@ class TestEdgeResistanceValidation:
         with pytest.raises(ValueError, match="finite and non-negative"):
             lrd_decompose(adj, level=3, edge_resistance=er)
 
-
-class TestGridPartition:
-    def test_partition_covers_all_points(self):
-        points = RNG.uniform(size=(500, 2))
-        cells = grid_partition(points, 3)
-        joined = np.concatenate(cells)
-        assert len(joined) == 500
-        assert len(np.unique(joined)) == 500
-
-    def test_single_cell(self):
-        points = RNG.uniform(size=(50, 2))
-        cells = grid_partition(points, 1)
-        assert len(cells) == 1 and len(cells[0]) == 50
-
-    def test_cells_respect_spatial_bounds(self):
-        points = RNG.uniform(size=(400, 2))
-        cells = grid_partition(points, 2)
-        for idx in cells:
-            cell_points = points[idx]
-            span = cell_points.max(axis=0) - cell_points.min(axis=0)
-            assert np.all(span <= 0.5 + 1e-9)
-
-    def test_invalid_cells_per_dim(self):
-        with pytest.raises(ValueError):
-            grid_partition(RNG.uniform(size=(10, 2)), 0)
-
-
-class TestParallelLRD:
-    def test_labels_unique_across_cells(self):
-        points = RNG.uniform(size=(400, 2))
-        labels, count = parallel_lrd(points, k=5, level=3, cells_per_dim=2)
-        assert labels.shape == (400,)
-        assert labels.max() == count - 1
-        # each cell's labels are disjoint, so every point got assigned
-        assert len(np.unique(labels)) == count
-
-    def test_single_cell_matches_direct(self):
-        points = np.random.default_rng(9).uniform(size=(150, 2))
-        labels, count = parallel_lrd(points, k=5, level=3, cells_per_dim=1,
-                                     seed=0)
-        adj = knn_adjacency(points, 5)
-        direct = lrd_decompose(adj, level=3, seed=0)
-        assert count == direct.n_clusters
-        # same partition up to relabelling
-        mapping = {}
-        for a, b in zip(labels, direct.labels):
-            mapping.setdefault(a, b)
-            assert mapping[a] == b
